@@ -12,31 +12,38 @@
 #                      ctest)
 #   5. nxstate         typestate protocol + lock-order analyzer
 #                      (tools/nxstate; also a ctest)
-#   6. asan-ubsan      full ctest under ASan+UBSan (no recover)
-#   7. tsan            ThreadSanitizer build; runs the `concurrency`
+#   6. nxown           resource-ownership analyzer over the
+#                      NXSIM_ACQUIRES/RELEASES annotations
+#                      (tools/nxown; also a ctest)
+#   7. asan-ubsan      full ctest under ASan+UBSan (no recover)
+#   8. tsan            ThreadSanitizer build; runs the `concurrency`
 #                      and `load` ctest labels (JobServer dispatch,
 #                      multi-session stress, load-generator suites)
-#   8. coverage        gcov build; runs the `session` and `load` ctest
+#   9. coverage        gcov build; runs the `session` and `load` ctest
 #                      labels and gates src/core/session.cc line
 #                      coverage against tools/coverage_baseline.txt
-#   9. clang-tsa       Clang -Wthread-safety over the lock annotations
+#  10. clang-tsa       Clang -Wthread-safety over the lock annotations
 #                      (src/util/thread_annotations.h); skipped with a
 #                      notice when clang++ is absent
-#  10. bench smoke     bench_l1_serving --smoke --json out of build-ci:
+#  11. bench smoke     bench_l1_serving --smoke --json out of build-ci:
 #                      schema-checks the emitted BENCH json and diffs
 #                      its scenario names/digests against the committed
 #                      BENCH_l1_serving.json (plan determinism)
-#  11. lint            clang-tidy over files changed vs origin/main
+#  12. lint            clang-tidy over files changed vs origin/main
 #                      (skipped with a notice when clang-tidy absent)
-#  12. fuzz smoke      30 s of each fuzz target on the seeded corpus
+#  13. fuzz smoke      30 s of each fuzz target on the seeded corpus
 #                      (libFuzzer with Clang; the standalone driver
 #                      otherwise — see fuzz/standalone_main.cc)
+#  14. perfbench tests the repository benchmark's own tests
+#                      (perfbench/test_perfbench.py: output verifier,
+#                      seed-pinned plans, declared metric names,
+#                      exactly repeating modelled metrics)
 #
-# Stages 2-5 are all binaries out of the stage-1 build-ci tree: one
-# configure, one build, four analyzers. Each stage prints its wall time
+# Stages 2-6 are all binaries out of the stage-1 build-ci tree: one
+# configure, one build, five analyzers. Each stage prints its wall time
 # when it finishes, and a summary table prints at the end.
 #
-# Usage: ./ci.sh [--quick]   --quick skips stages 12 and 13.
+# Usage: ./ci.sh [--quick]   --quick skips stages 12 to 14.
 set -eu
 
 cd "$(dirname "$0")"
@@ -77,43 +84,43 @@ analyzer() {
     fi
 }
 
-stage "ci preset (warnings-as-errors)" "1/13"
+stage "ci preset (warnings-as-errors)" "1/14"
 cmake --preset ci
 cmake --build build-ci -j "$jobs"
 ctest --test-dir build-ci --output-on-failure -j "$jobs"
 
-stage "nxlint (project static analysis)" "2/13"
+stage "nxlint (project static analysis)" "2/14"
 analyzer nxlint
 
-stage "nxdeps (include-graph layering)" "3/13"
+stage "nxdeps (include-graph layering)" "3/14"
 analyzer nxdeps
 
-stage "nxtaint (untrusted-input dataflow)" "4/13"
+stage "nxtaint (untrusted-input dataflow)" "4/14"
 analyzer nxtaint
 
-stage "nxstate (typestate + lock order)" "5/13"
+stage "nxstate (typestate + lock order)" "5/14"
 analyzer nxstate
 
-stage "nxown (resource ownership)" "6/13"
+stage "nxown (resource ownership)" "6/14"
 analyzer nxown
 
-stage "asan-ubsan preset" "7/13"
+stage "asan-ubsan preset" "7/14"
 cmake --preset asan-ubsan
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
-stage "tsan preset (concurrency|load labels)" "8/13"
+stage "tsan preset (concurrency|load labels)" "8/14"
 cmake --preset tsan
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan -L 'concurrency|load' --output-on-failure -j "$jobs"
 
-stage "coverage (session|load labels + gcov gate)" "9/13"
+stage "coverage (session|load labels + gcov gate)" "9/14"
 cmake --preset coverage
 cmake --build build-coverage -j "$jobs"
 ctest --test-dir build-coverage -L 'session|load' --output-on-failure -j "$jobs"
 tools/coverage_gate.sh build-coverage
 
-stage "clang-tsa (thread-safety annotations)" "10/13"
+stage "clang-tsa (thread-safety annotations)" "10/14"
 if command -v clang++ >/dev/null 2>&1; then
     cmake --preset clang-tsa
     cmake --build build-clang-tsa -j "$jobs"
@@ -121,7 +128,7 @@ else
     echo "clang++ not found; skipping clang-tsa stage"
 fi
 
-stage "bench smoke (L1 serving harness)" "11/13"
+stage "bench smoke (L1 serving harness)" "11/14"
 ./build-ci/bench/bench_l1_serving --smoke --json \
     > build-ci/bench_l1_smoke.json
 grep -q '"schema_version": 1' build-ci/bench_l1_smoke.json
@@ -140,12 +147,12 @@ fi
 
 if [ "$quick" = "--quick" ]; then
     stage_end
-    echo "=== --quick: skipping lint and fuzz smoke ==="
+    echo "=== --quick: skipping lint, fuzz smoke and perfbench tests ==="
     printf "=== stage times ===\n$stage_times"
     exit 0
 fi
 
-stage "clang-tidy on changed files" "12/13"
+stage "clang-tidy on changed files" "12/14"
 if git rev-parse --verify origin/main >/dev/null 2>&1; then
     changed=$(git diff --name-only origin/main -- 'src/*.cc' || true)
 else
@@ -158,7 +165,7 @@ else
     echo "no changed src/*.cc files; skipping clang-tidy"
 fi
 
-stage "fuzz smoke (30 s per target)" "13/13"
+stage "fuzz smoke (30 s per target)" "13/14"
 cmake --preset fuzz
 cmake --build build-fuzz -j "$jobs"
 for t in fuzz_inflate fuzz_gzip fuzz_e842 fuzz_roundtrip fuzz_session; do
@@ -172,6 +179,11 @@ for t in fuzz_inflate fuzz_gzip fuzz_e842 fuzz_roundtrip fuzz_session; do
         ./build-fuzz/fuzz/$t -time=30
     fi
 done
+
+stage "perfbench tests (benchmark self-tests)" "14/14"
+# Builds perfbench like perfbench/run.py does (into $CARGO_TARGET_DIR
+# or .bench_build) and runs its unittest suite.
+python3 perfbench/test_perfbench.py
 
 stage_end
 printf "=== stage times ===\n$stage_times"

@@ -5,10 +5,6 @@
 
 #include "deflate/deflate_encoder.h"
 #include "deflate/gzip_stream.h"
-#include "deflate/inflate_decoder.h"
-#include "deflate/zlib_stream.h"
-#include "util/adler32.h"
-#include "util/crc32.h"
 #include "util/checked.h"
 
 namespace core {
@@ -203,21 +199,10 @@ SoftwareCodec::compress(std::span<const uint8_t> source,
     auto t0 = Clock::now();
     deflate::DeflateOptions opts;
     opts.level = level_;
-    auto res = deflate::deflateCompress(source, opts);
-    switch (framing) {
-      case nx::Framing::Raw:
-        out.data = std::move(res.bytes);
-        out.csb.checksum = util::crc32(source);
-        break;
-      case nx::Framing::Gzip:
-        out.data = deflate::gzipWrap(res.bytes, source);
-        out.csb.checksum = util::crc32(source);
-        break;
-      case nx::Framing::Zlib:
-        out.data = deflate::zlibWrap(res.bytes, source);
-        out.csb.checksum = util::adler32(source);
-        break;
-    }
+    auto framed = nx::frameStream(
+        framing, deflate::deflateCompress(source, opts).bytes, source);
+    out.data = std::move(framed.bytes);
+    out.csb.checksum = framed.checksum;
     out.seconds = secondsSince(t0);
     out.csb.cc = nx::CondCode::Success;
     out.csb.valid = true;
@@ -232,33 +217,8 @@ SoftwareCodec::decompress(std::span<const uint8_t> stream,
 {
     JobResult out;
     auto t0 = Clock::now();
-    deflate::InflateResult inf;
-    switch (framing) {
-      case nx::Framing::Raw:
-        inf = deflate::inflateDecompress(stream);
-        break;
-      case nx::Framing::Gzip: {
-        auto res = deflate::gzipUnwrap(stream);
-        if (!res.ok) {
-            out.csb.cc = nx::CondCode::BadData;
-            out.csb.valid = true;
-            return out;
-        }
-        inf = std::move(res.inflate);
-        break;
-      }
-      case nx::Framing::Zlib: {
-        auto res = deflate::zlibUnwrap(stream);
-        if (!res.ok) {
-            out.csb.cc = nx::CondCode::BadData;
-            out.csb.valid = true;
-            return out;
-        }
-        inf = std::move(res.inflate);
-        break;
-      }
-    }
-    if (!inf.ok()) {
+    auto un = nx::unframeStream(framing, stream);
+    if (!un.ok) {
         out.csb.cc = nx::CondCode::BadData;
         out.csb.valid = true;
         return out;
@@ -267,8 +227,9 @@ SoftwareCodec::decompress(std::span<const uint8_t> stream,
     out.csb.cc = nx::CondCode::Success;
     out.csb.valid = true;
     out.csb.processedBytes = stream.size();
-    out.csb.producedBytes = inf.bytes.size();
-    out.data = std::move(inf.bytes);
+    out.csb.producedBytes = un.inflate.bytes.size();
+    out.csb.checksum = un.checksum;
+    out.data = std::move(un.inflate.bytes);
     return out;
 }
 

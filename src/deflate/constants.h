@@ -101,6 +101,35 @@ struct LengthCodeTable
 
 inline const LengthCodeTable kLengthCodeTable;
 
+/**
+ * Distance code lookup (zlib's layout): distances 1..256 index
+ * directly, larger ones by 256 + (dist - 1) / 128, since every code
+ * above 256 covers a whole number of 128-distance steps.
+ */
+struct DistCodeTable
+{
+    std::array<uint8_t, 512> code{};
+
+    static size_t
+    index(int dist)
+    {
+        auto d = static_cast<size_t>(dist - 1);
+        return d < 256 ? d : 256 + (d >> 7);
+    }
+
+    DistCodeTable()
+    {
+        for (size_t c = 0; c < kDistBase.size(); ++c) {
+            int base = kDistBase[c];
+            int span = 1 << kDistExtra[c];
+            for (int d = base; d < base + span; ++d)
+                code[index(d)] = nx::checked_cast<uint8_t>(c);
+        }
+    }
+};
+
+inline const DistCodeTable kDistCodeTable;
+
 } // namespace detail
 
 inline int
@@ -114,17 +143,7 @@ lengthToCode(int length)
 inline int
 distToCode(int dist)
 {
-    // Binary search over the 30-entry base table.
-    int lo = 0;
-    int hi = kNumDist - 1;
-    while (lo < hi) {
-        int mid = (lo + hi + 1) / 2;
-        if (kDistBase[static_cast<size_t>(mid)] <= dist)
-            lo = mid;
-        else
-            hi = mid - 1;
-    }
-    return lo;
+    return detail::kDistCodeTable.code[detail::DistCodeTable::index(dist)];
 }
 
 } // namespace deflate

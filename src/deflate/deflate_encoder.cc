@@ -156,21 +156,22 @@ emitTokens(util::BitWriter &bw, std::span<const Token> tokens,
             litlen.writeSymbol(bw, t.literal);
             continue;
         }
+        // A code and its extra bits go out in one write (at most
+        // 15 + 13 bits): the extra bits follow the code LSB-first.
         int lc = lengthToCode(t.length);
-        litlen.writeSymbol(bw, lc);
         auto li = static_cast<size_t>(lc - 257);
-        unsigned lextra = kLengthExtra[li];
-        if (lextra > 0)
-            bw.writeBits(nx::checked_cast<uint32_t>(
-                             t.length - kLengthBase[li]),
-                         lextra);
+        unsigned lbits = litlen.length(lc);
+        bw.writeBits(litlen.code(lc) |
+                         (nx::checked_cast<uint32_t>(
+                              t.length - kLengthBase[li]) << lbits),
+                     lbits + kLengthExtra[li]);
         int dc = distToCode(t.dist);
-        dist.writeSymbol(bw, dc);
         auto di = static_cast<size_t>(dc);
-        unsigned dextra = kDistExtra[di];
-        if (dextra > 0)
-            bw.writeBits(nx::checked_cast<uint32_t>(t.dist - kDistBase[di]),
-                         dextra);
+        unsigned dbits = dist.length(dc);
+        bw.writeBits(dist.code(dc) |
+                         (nx::checked_cast<uint32_t>(
+                              t.dist - kDistBase[di]) << dbits),
+                     dbits + kDistExtra[di]);
     }
     litlen.writeSymbol(bw, kEob);
     return bw.bitsWritten() - start;

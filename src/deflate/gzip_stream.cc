@@ -12,21 +12,11 @@ constexpr uint8_t kId2 = 0x8b;
 constexpr uint8_t kCmDeflate = 8;
 constexpr uint8_t kFlagName = 0x08;
 constexpr uint8_t kOsUnix = 3;
-} // namespace
 
+/** One gzip member around @p deflate_stream with the given trailer. */
 std::vector<uint8_t>
-gzipWrap(std::span<const uint8_t> deflate_stream,
-         std::span<const uint8_t> original, const std::string &name)
-{
-    GzipWriteOptions opts;
-    opts.name = name;
-    return gzipWrapEx(deflate_stream, original, opts);
-}
-
-std::vector<uint8_t>
-gzipWrapEx(std::span<const uint8_t> deflate_stream,
-           std::span<const uint8_t> original,
-           const GzipWriteOptions &opts)
+wrapMember(std::span<const uint8_t> deflate_stream, uint32_t crc,
+           uint64_t original_size, const GzipWriteOptions &opts)
 {
     std::vector<uint8_t> out;
     out.reserve(deflate_stream.size() + 24 + opts.name.size() +
@@ -74,13 +64,39 @@ gzipWrapEx(std::span<const uint8_t> deflate_stream,
     }
     out.insert(out.end(), deflate_stream.begin(), deflate_stream.end());
 
-    uint32_t crc = util::crc32(original);
-    auto isize = nx::truncate_cast<uint32_t>(original.size());
+    auto isize = nx::truncate_cast<uint32_t>(original_size);
     for (int i = 0; i < 4; ++i)
         out.push_back(nx::checked_cast<uint8_t>((crc >> (8 * i)) & 0xff));
     for (int i = 0; i < 4; ++i)
         out.push_back(nx::checked_cast<uint8_t>((isize >> (8 * i)) & 0xff));
     return out;
+}
+
+} // namespace
+
+std::vector<uint8_t>
+gzipWrap(std::span<const uint8_t> deflate_stream,
+         std::span<const uint8_t> original, const std::string &name)
+{
+    GzipWriteOptions opts;
+    opts.name = name;
+    return gzipWrapEx(deflate_stream, original, opts);
+}
+
+std::vector<uint8_t>
+gzipWrap(std::span<const uint8_t> deflate_stream, uint32_t crc,
+         uint64_t original_size)
+{
+    return wrapMember(deflate_stream, crc, original_size, {});
+}
+
+std::vector<uint8_t>
+gzipWrapEx(std::span<const uint8_t> deflate_stream,
+           std::span<const uint8_t> original,
+           const GzipWriteOptions &opts)
+{
+    return wrapMember(deflate_stream, util::crc32(original),
+                      original.size(), opts);
 }
 
 GzipUnwrapResult
@@ -178,7 +194,8 @@ gzipUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> member)
     };
     uint32_t crc = rd32(tpos);
     uint32_t isize = rd32(tpos + 4);
-    if (crc != util::crc32(res.inflate.bytes)) {
+    res.checksum = util::crc32(res.inflate.bytes);
+    if (crc != res.checksum) {
         res.error = "CRC mismatch";
         return res;
     }

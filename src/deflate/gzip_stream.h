@@ -48,6 +48,13 @@ std::vector<uint8_t> gzipWrap(std::span<const uint8_t> deflate_stream,
                               std::span<const uint8_t> original,
                               const std::string &name = {});
 
+/**
+ * Wrap a raw DEFLATE stream whose payload CRC-32 the caller already
+ * computed, so the payload is not read a second time.
+ */
+std::vector<uint8_t> gzipWrap(std::span<const uint8_t> deflate_stream,
+                              uint32_t crc, uint64_t original_size);
+
 /** Wrap with full header-field control. */
 std::vector<uint8_t> gzipWrapEx(std::span<const uint8_t> deflate_stream,
                                 std::span<const uint8_t> original,
@@ -60,6 +67,8 @@ struct GzipUnwrapResult
     std::string error;
     GzipHeader header;
     InflateResult inflate;
+    /** CRC-32 of the payload, as checked against the trailer. */
+    uint32_t checksum = 0;
     /** Total bytes of this member (header + payload + trailer). */
     size_t memberBytes = 0;
 };

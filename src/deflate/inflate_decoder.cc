@@ -1,5 +1,8 @@
 #include "deflate/inflate_decoder.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "deflate/constants.h"
 #include "deflate/huffman.h"
 #include "util/bitstream.h"
@@ -116,11 +119,29 @@ inflateDecompressWithDict(NXSIM_UNTRUSTED std::span<const uint8_t> input,
 
     // Seed the output with the dictionary's window-reachable tail;
     // it is stripped before returning. All distance checks operate on
-    // the seeded vector, which is exactly the FDICT semantics.
+    // the seeded buffer, which is exactly the FDICT semantics.
     if (dict.size() > static_cast<size_t>(kWindowSize))
         dict = dict.subspan(dict.size() - kWindowSize);
     const size_t base = dict.size();
     res.bytes.assign(dict.begin(), dict.end());
+
+    // res.bytes grows geometrically ahead of the output and its first
+    // `out` bytes are decoded, so a match copies into place without a
+    // resize (and its zero fill) per match. Growth never passes the
+    // output cap; every caller checks the cap before asking for room.
+    size_t out = base;
+    const size_t cap = max_output <= SIZE_MAX - base ? base + max_output
+                                                     : SIZE_MAX;
+    auto room = [&](size_t n) {
+        if (res.bytes.size() - out < n)
+            res.bytes.resize(std::min(
+                std::max(out + n, 2 * res.bytes.size() + 4096), cap));
+    };
+    auto fail = [&](InflateStatus st) {
+        res.bytes.resize(out);
+        res.status = st;
+        return std::move(res);
+    };
 
     // Fixed tables are built once.
     static const HuffmanDecodeTable *fixedLit = [] {
@@ -146,34 +167,24 @@ inflateDecompressWithDict(NXSIM_UNTRUSTED std::span<const uint8_t> input,
     while (!final) {
         final = br.readBits(1) != 0;
         unsigned btype = br.readBits(2);
-        if (br.overrun()) {
-            res.status = InflateStatus::TruncatedInput;
-            return res;
-        }
+        if (br.overrun())
+            return fail(InflateStatus::TruncatedInput);
 
         if (btype == 0) {
             // Stored block.
             br.alignToByte();
             uint16_t len = br.readU16le();
             uint16_t nlen = br.readU16le();
-            if (br.overrun()) {
-                res.status = InflateStatus::TruncatedInput;
-                return res;
-            }
-            if ((len ^ nlen) != 0xffff) {
-                res.status = InflateStatus::BadStoredLength;
-                return res;
-            }
-            if (res.bytes.size() - base + len > max_output) {
-                res.status = InflateStatus::OutputLimit;
-                return res;
-            }
-            size_t old = res.bytes.size();
-            res.bytes.resize(old + len);
-            if (!br.readBytes(res.bytes.data() + old, len)) {
-                res.status = InflateStatus::TruncatedInput;
-                return res;
-            }
+            if (br.overrun())
+                return fail(InflateStatus::TruncatedInput);
+            if ((len ^ nlen) != 0xffff)
+                return fail(InflateStatus::BadStoredLength);
+            if (out - base + len > max_output)
+                return fail(InflateStatus::OutputLimit);
+            room(len);
+            if (!br.readBytes(res.bytes.data() + out, len))
+                return fail(InflateStatus::TruncatedInput);
+            out += len;
             ++res.stats.storedBlocks;
             continue;
         }
@@ -187,69 +198,60 @@ inflateDecompressWithDict(NXSIM_UNTRUSTED std::span<const uint8_t> input,
             ++res.stats.fixedBlocks;
         } else if (btype == 2) {
             InflateStatus st = readDynamicHeader(br, dynLit, dynDst);
-            if (st != InflateStatus::Ok) {
-                res.status = st;
-                return res;
-            }
+            if (st != InflateStatus::Ok)
+                return fail(st);
             lit = &dynLit;
             dst = &dynDst;
             ++res.stats.dynamicBlocks;
         } else {
-            res.status = InflateStatus::BadBlockType;
-            return res;
+            return fail(InflateStatus::BadBlockType);
         }
 
         while (true) {
             int sym = lit->decode(br);
-            if (sym < 0) {
-                res.status = br.overrun() ? InflateStatus::TruncatedInput
-                                          : InflateStatus::BadSymbol;
-                return res;
-            }
+            if (sym < 0)
+                return fail(br.overrun() ? InflateStatus::TruncatedInput
+                                         : InflateStatus::BadSymbol);
             if (sym < 256) {
-                if (res.bytes.size() - base >= max_output) {
-                    res.status = InflateStatus::OutputLimit;
-                    return res;
-                }
-                res.bytes.push_back(nx::checked_cast<uint8_t>(sym));
+                if (out - base >= max_output)
+                    return fail(InflateStatus::OutputLimit);
+                room(1);
+                res.bytes[out++] = nx::checked_cast<uint8_t>(sym);
                 ++res.stats.literals;
                 continue;
             }
             if (sym == kEob)
                 break;
-            if (sym > 285) {
-                res.status = InflateStatus::BadSymbol;
-                return res;
-            }
+            if (sym > 285)
+                return fail(InflateStatus::BadSymbol);
             auto li = static_cast<size_t>(sym - 257);
             unsigned lextra = kLengthExtra[li];
             unsigned length = kLengthBase[li] + br.readBits(lextra);
 
             int dsym = dst->decode(br);
-            if (dsym < 0 || dsym > 29) {
-                res.status = br.overrun() ? InflateStatus::TruncatedInput
-                                          : InflateStatus::BadSymbol;
-                return res;
-            }
+            if (dsym < 0 || dsym > 29)
+                return fail(br.overrun() ? InflateStatus::TruncatedInput
+                                         : InflateStatus::BadSymbol);
             auto di = static_cast<size_t>(dsym);
             unsigned dextra = kDistExtra[di];
             unsigned dist = kDistBase[di] + br.readBits(dextra);
-            if (br.overrun()) {
-                res.status = InflateStatus::TruncatedInput;
-                return res;
+            if (br.overrun())
+                return fail(InflateStatus::TruncatedInput);
+            if (dist == 0 || dist > out || dist > kWindowSize)
+                return fail(InflateStatus::BadDistance);
+            if (out - base + length > max_output)
+                return fail(InflateStatus::OutputLimit);
+            room(length);
+            uint8_t *to = res.bytes.data() + out;
+            const uint8_t *from = to - dist;
+            if (dist >= length) {
+                nx::copyBytes(to, from, length);
+            } else {
+                // The source overlaps the bytes being written (a run).
+                for (unsigned i = 0; i < length; ++i)
+                    to[i] = from[i];
             }
-            if (dist == 0 || dist > res.bytes.size() ||
-                dist > kWindowSize) {
-                res.status = InflateStatus::BadDistance;
-                return res;
-            }
-            if (res.bytes.size() - base + length > max_output) {
-                res.status = InflateStatus::OutputLimit;
-                return res;
-            }
-            size_t from = res.bytes.size() - dist;
-            for (unsigned i = 0; i < length; ++i)
-                res.bytes.push_back(res.bytes[from + i]);
+            out += length;
             ++res.stats.matches;
             res.stats.matchedBytes += length;
         }
@@ -258,6 +260,7 @@ inflateDecompressWithDict(NXSIM_UNTRUSTED std::span<const uint8_t> input,
     res.stats.inputBits = br.bitsConsumed();
     res.consumedBytes = br.bytesConsumed();
     res.status = InflateStatus::Ok;
+    res.bytes.resize(out);
     res.bytes.erase(res.bytes.begin(),
                     res.bytes.begin() + static_cast<long>(base));
     return res;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include "util/checked.h"
+#include "util/match_length.h"
 
 namespace deflate {
 
@@ -109,9 +110,7 @@ Lz77Matcher::findMatch(std::span<const uint8_t> in, size_t pos,
             cand = prev_[cand & (kWindowSize - 1)];
             continue;
         }
-        size_t len = 0;
-        while (len < max_len && ref[len] == cur[len])
-            ++len;
+        size_t len = util::matchLength(ref, cur, max_len);
         if (nx::checked_cast<int>(len) > best_len) {
             best_len = nx::checked_cast<int>(len);
             best_dist = nx::checked_cast<int>(pos - cand);

@@ -12,6 +12,13 @@ std::vector<uint8_t>
 zlibWrap(std::span<const uint8_t> deflate_stream,
          std::span<const uint8_t> original, int level)
 {
+    return zlibWrap(deflate_stream, util::adler32(original), level);
+}
+
+std::vector<uint8_t>
+zlibWrap(std::span<const uint8_t> deflate_stream, uint32_t adler,
+         int level)
+{
     std::vector<uint8_t> out;
     out.reserve(deflate_stream.size() + 6);
     // CMF: method 8, 32K window (CINFO=7).
@@ -26,7 +33,6 @@ zlibWrap(std::span<const uint8_t> deflate_stream,
     out.push_back(cmf);
     out.push_back(flg);
     out.insert(out.end(), deflate_stream.begin(), deflate_stream.end());
-    uint32_t adler = util::adler32(original);
     for (int i = 3; i >= 0; --i)    // Adler is stored big-endian
         out.push_back(nx::checked_cast<uint8_t>((adler >> (8 * i)) & 0xff));
     return out;
@@ -70,7 +76,8 @@ zlibUnwrap(NXSIM_UNTRUSTED std::span<const uint8_t> stream)
         (nx::checked_cast<uint32_t>(stream[tpos + 1]) << 16) |
         (nx::checked_cast<uint32_t>(stream[tpos + 2]) << 8) |
         nx::checked_cast<uint32_t>(stream[tpos + 3]);
-    if (adler != util::adler32(res.inflate.bytes)) {
+    res.checksum = util::adler32(res.inflate.bytes);
+    if (adler != res.checksum) {
         res.error = "Adler-32 mismatch";
         return res;
     }
@@ -161,7 +168,8 @@ zlibUnwrapWithDict(NXSIM_UNTRUSTED std::span<const uint8_t> stream,
         (nx::checked_cast<uint32_t>(stream[tpos + 1]) << 16) |
         (nx::checked_cast<uint32_t>(stream[tpos + 2]) << 8) |
         nx::checked_cast<uint32_t>(stream[tpos + 3]);
-    if (adler != util::adler32(res.inflate.bytes)) {
+    res.checksum = util::adler32(res.inflate.bytes);
+    if (adler != res.checksum) {
         res.error = "Adler-32 mismatch";
         return res;
     }

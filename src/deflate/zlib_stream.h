@@ -22,12 +22,21 @@ std::vector<uint8_t> zlibWrap(std::span<const uint8_t> deflate_stream,
                               std::span<const uint8_t> original,
                               int level = 6);
 
+/**
+ * Wrap a raw DEFLATE stream whose payload Adler-32 the caller already
+ * computed, so the payload is not read a second time.
+ */
+std::vector<uint8_t> zlibWrap(std::span<const uint8_t> deflate_stream,
+                              uint32_t adler, int level = 6);
+
 /** Result of unwrapping a zlib stream. */
 struct ZlibUnwrapResult
 {
     bool ok = false;
     std::string error;
     InflateResult inflate;
+    /** Adler-32 of the payload, as checked against the trailer. */
+    uint32_t checksum = 0;
 };
 
 /** Parse header, inflate, verify Adler-32. */

@@ -50,6 +50,29 @@ encodeStored(std::span<const uint8_t> data, const NxConfig &cfg)
 
 } // namespace
 
+FramedStream
+frameStream(Framing framing, std::vector<uint8_t> deflate_stream,
+            std::span<const uint8_t> source)
+{
+    FramedStream out;
+    switch (framing) {
+      case Framing::Raw:
+        out.checksum = util::crc32(source);
+        out.bytes = std::move(deflate_stream);
+        break;
+      case Framing::Gzip:
+        out.checksum = util::crc32(source);
+        out.bytes = deflate::gzipWrap(deflate_stream, out.checksum,
+                                      source.size());
+        break;
+      case Framing::Zlib:
+        out.checksum = util::adler32(source);
+        out.bytes = deflate::zlibWrap(deflate_stream, out.checksum);
+        break;
+    }
+    return out;
+}
+
 CompressJobResult
 CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
                     DhtMode dht_mode, uint64_t dht_sample_bytes)
@@ -90,25 +113,13 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
     }
     job.timing.encode = enc.cycles;
 
-    // Framing + checksums, computed inline with the data pipe (no extra
+    // Framing + checksum, computed inline with the data pipe (no extra
     // cycles beyond the streaming floor already counted).
-    std::vector<uint8_t> framed;
-    switch (crb.framing) {
-      case Framing::Raw:
-        framed = std::move(enc.bytes);
-        job.csb.checksum = util::crc32(source);
-        break;
-      case Framing::Gzip:
-        framed = deflate::gzipWrap(enc.bytes, source);
-        job.csb.checksum = util::crc32(source);
-        break;
-      case Framing::Zlib:
-        framed = deflate::zlibWrap(enc.bytes, source);
-        job.csb.checksum = util::adler32(source);
-        break;
-    }
+    FramedStream framed = frameStream(crb.framing, std::move(enc.bytes),
+                                      source);
+    job.csb.checksum = framed.checksum;
 
-    if (framed.size() > crb.target.totalBytes()) {
+    if (framed.bytes.size() > crb.target.totalBytes()) {
         job.csb.cc = CondCode::OutputOverflow;
         job.csb.valid = true;
         job.csb.processedBytes = 0;
@@ -117,14 +128,14 @@ CompressEngine::run(const Crb &crb, std::span<const uint8_t> source,
         return job;
     }
 
-    job.timing.dmaOut = dmaOut_.transferCycles(framed.size());
-    dmaOut_.recordTransfer(framed.size());
+    job.timing.dmaOut = dmaOut_.transferCycles(framed.bytes.size());
+    dmaOut_.recordTransfer(framed.bytes.size());
 
     job.csb.cc = CondCode::Success;
     job.csb.valid = true;
     job.csb.processedBytes = source.size();
-    job.csb.producedBytes = framed.size();
-    job.output = std::move(framed);
+    job.csb.producedBytes = framed.bytes.size();
+    job.output = std::move(framed.bytes);
 
     stats_.inc("jobs");
     stats_.inc("source_bytes", source.size());

@@ -73,6 +73,22 @@ struct CompressJobResult
     }
 };
 
+/** A DEFLATE stream in its container, with the container's checksum. */
+struct FramedStream
+{
+    std::vector<uint8_t> bytes;
+    uint32_t checksum = 0;    ///< CRC-32 (raw, gzip) or Adler-32 (zlib)
+};
+
+/**
+ * Put @p deflate_stream, the compressed form of @p source, in the
+ * @p framing container. The source is checksummed once: the same
+ * value goes into the trailer and, through the result, into the CSB.
+ */
+FramedStream frameStream(Framing framing,
+                         std::vector<uint8_t> deflate_stream,
+                         std::span<const uint8_t> source);
+
 /** A single compression engine instance. */
 class CompressEngine
 {

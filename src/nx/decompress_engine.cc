@@ -3,9 +3,7 @@
 #include "nx/memory_image.h"
 
 #include "deflate/gzip_stream.h"
-#include "deflate/inflate_decoder.h"
 #include "deflate/zlib_stream.h"
-#include "util/adler32.h"
 #include "util/crc32.h"
 
 namespace nx {
@@ -13,6 +11,35 @@ namespace nx {
 DecompressEngine::DecompressEngine(const NxConfig &cfg)
     : cfg_(cfg), dmaIn_(cfg.dmaIn), dmaOut_(cfg.dmaOut)
 {
+}
+
+UnframedStream
+unframeStream(Framing framing, NXSIM_UNTRUSTED std::span<const uint8_t> stream)
+{
+    UnframedStream out;
+    switch (framing) {
+      case Framing::Raw:
+        out.inflate = deflate::inflateDecompress(stream);
+        out.ok = out.inflate.ok();
+        if (out.ok)
+            out.checksum = util::crc32(out.inflate.bytes);
+        break;
+      case Framing::Gzip: {
+        auto res = deflate::gzipUnwrap(stream);
+        out.ok = res.ok;
+        out.checksum = res.checksum;
+        out.inflate = std::move(res.inflate);
+        break;
+      }
+      case Framing::Zlib: {
+        auto res = deflate::zlibUnwrap(stream);
+        out.ok = res.ok;
+        out.checksum = res.checksum;
+        out.inflate = std::move(res.inflate);
+        break;
+      }
+    }
+    return out;
 }
 
 DecompressJobResult
@@ -33,46 +60,14 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
     job.timing.dmaIn = dmaIn_.transferCycles(source.size());
     dmaIn_.recordTransfer(source.size());
 
-    deflate::InflateResult inf;
-    uint32_t checksum = 0;
-    switch (crb.framing) {
-      case Framing::Raw: {
-        inf = deflate::inflateDecompress(source);
-        if (inf.ok())
-            checksum = util::crc32(inf.bytes);
-        break;
-      }
-      case Framing::Gzip: {
-        auto res = deflate::gzipUnwrap(source);
-        if (!res.ok) {
-            job.csb.cc = CondCode::BadData;
-            job.csb.valid = true;
-            stats_.inc("bad_data");
-            return job;
-        }
-        inf = std::move(res.inflate);
-        checksum = util::crc32(inf.bytes);
-        break;
-      }
-      case Framing::Zlib: {
-        auto res = deflate::zlibUnwrap(source);
-        if (!res.ok) {
-            job.csb.cc = CondCode::BadData;
-            job.csb.valid = true;
-            stats_.inc("bad_data");
-            return job;
-        }
-        inf = std::move(res.inflate);
-        checksum = util::adler32(inf.bytes);
-        break;
-      }
-    }
-    if (!inf.ok()) {
+    UnframedStream un = unframeStream(crb.framing, source);
+    if (!un.ok) {
         job.csb.cc = CondCode::BadData;
         job.csb.valid = true;
         stats_.inc("bad_data");
         return job;
     }
+    deflate::InflateResult &inf = un.inflate;
 
     if (inf.bytes.size() > crb.target.totalBytes()) {
         job.csb.cc = CondCode::OutputOverflow;
@@ -97,7 +92,7 @@ DecompressEngine::run(const Crb &crb, std::span<const uint8_t> source)
     job.csb.valid = true;
     job.csb.processedBytes = source.size();
     job.csb.producedBytes = inf.bytes.size();
-    job.csb.checksum = checksum;
+    job.csb.checksum = un.checksum;
     job.output = std::move(inf.bytes);
 
     stats_.inc("jobs");

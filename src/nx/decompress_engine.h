@@ -21,11 +21,13 @@
 #include <span>
 #include <vector>
 
+#include "deflate/inflate_decoder.h"
 #include "nx/crb.h"
 #include "nx/nx_config.h"
 #include "sim/memory_model.h"
 #include "sim/ticks.h"
 #include "util/stats.h"
+#include "util/taint.h"
 
 namespace nx {
 
@@ -55,6 +57,22 @@ struct DecompressJobResult
     std::vector<uint8_t> output;
     DecompressTiming timing;
 };
+
+/** A stream taken out of its container and inflated. */
+struct UnframedStream
+{
+    bool ok = false;    ///< container and payload both valid
+    deflate::InflateResult inflate;
+    uint32_t checksum = 0;    ///< CRC-32 (raw, gzip) or Adler-32 (zlib)
+};
+
+/**
+ * Parse the @p framing container of @p stream and inflate its payload.
+ * The output is checksummed once: gzip and zlib check that value
+ * against their trailer, and it is handed back for the CSB.
+ */
+[[nodiscard]] UnframedStream
+unframeStream(Framing framing, NXSIM_UNTRUSTED std::span<const uint8_t> stream);
 
 /** A single decompression engine instance. */
 class DecompressEngine

@@ -8,42 +8,40 @@ namespace nx {
 BankedHashTable::BankedHashTable(const HashConfig &cfg) : cfg_(cfg)
 {
     size_t sets = size_t{1} << cfg_.indexBits;
-    entries_.assign(sets * static_cast<size_t>(cfg_.ways), 0);
+    entries_.assign(sets * 2 * static_cast<size_t>(cfg_.ways), 0);
     fill_.assign(sets, 0);
     head_.assign(sets, 0);
-    scratch_.resize(static_cast<size_t>(cfg_.ways));
 }
 
 void
 BankedHashTable::clear()
 {
+    // An empty set may start its ring anywhere, so head_ keeps its value.
     std::fill(fill_.begin(), fill_.end(), 0);
-    std::fill(head_.begin(), head_.end(), 0);
 }
 
 std::span<const uint32_t>
 BankedHashTable::lookup(uint32_t set) const
 {
-    int n = fill_[set];
     const uint32_t *base = entries_.data() +
-        static_cast<size_t>(set) * static_cast<size_t>(cfg_.ways);
-    // Most-recent-first: head_ points at the next victim, so the newest
-    // entry sits just behind it.
-    for (int i = 0; i < n; ++i) {
-        int idx = (head_[set] - 1 - i + cfg_.ways * 2) % cfg_.ways;
-        scratch_[static_cast<size_t>(i)] =
-            base[static_cast<size_t>(idx)];
-    }
-    return {scratch_.data(), static_cast<size_t>(n)};
+        static_cast<size_t>(set) * 2 * static_cast<size_t>(cfg_.ways);
+    return {base + head_[set], fill_[set]};
 }
 
 void
 BankedHashTable::insert(uint32_t set, uint32_t pos)
 {
-    uint32_t *base = entries_.data() +
-        static_cast<size_t>(set) * static_cast<size_t>(cfg_.ways);
-    base[head_[set]] = pos;
-    head_[set] = nx::checked_cast<uint8_t>((head_[set] + 1) % cfg_.ways);
+    auto ways = static_cast<size_t>(cfg_.ways);
+    uint32_t *base = entries_.data() + static_cast<size_t>(set) * 2 * ways;
+    // The ring grows downwards, so the newest entry sits at head_ and
+    // older ones follow it; every entry is also written one ring length
+    // further on, so the `fill` entries from head_ are contiguous and
+    // lookup() hands them out in place. Replacement is FIFO: once the
+    // set is full, the new entry overwrites the oldest.
+    size_t head = head_[set] == 0 ? ways - 1 : head_[set] - 1u;
+    base[head] = pos;
+    base[head + ways] = pos;
+    head_[set] = nx::checked_cast<uint8_t>(head);
     if (fill_[set] < cfg_.ways)
         ++fill_[set];
 }

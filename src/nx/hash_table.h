@@ -57,8 +57,9 @@ class BankedHashTable
 
     /**
      * Read the candidate positions stored in @p set (most recent
-     * first). Entries may be stale (outside the window); the match
-     * comparators filter those.
+     * first), in place. Entries may be stale (outside the window);
+     * the match comparators filter those. The view is valid until the
+     * next insert() or clear().
      */
     std::span<const uint32_t> lookup(uint32_t set) const;
 
@@ -72,12 +73,12 @@ class BankedHashTable
 
   private:
     HashConfig cfg_;
-    // sets x ways position entries plus a per-set fill count.
+    // Per set, a ring of `ways` position entries stored twice over
+    // (2 x ways slots; see insert()), plus its fill count and the slot
+    // of its newest entry.
     std::vector<uint32_t> entries_;
     std::vector<uint8_t> fill_;
-    std::vector<uint8_t> head_;    // FIFO replacement pointer per set
-    // Scratch for lookup() to return recency-ordered views.
-    mutable std::vector<uint32_t> scratch_;
+    std::vector<uint8_t> head_;
 };
 
 } // namespace nx

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include "util/checked.h"
+#include "util/contracts.h"
+#include "util/match_length.h"
 
 namespace nx {
 
@@ -16,7 +18,8 @@ MatchPipeline::MatchPipeline(const NxConfig &cfg)
 
 int
 MatchPipeline::bestMatch(std::span<const uint8_t> in, size_t pos,
-                         uint64_t &tried, int &out_dist) const
+                         uint32_t set, uint64_t &tried,
+                         int &out_dist) const
 {
     size_t max_len = std::min<size_t>(kMaxMatch, in.size() - pos);
     if (max_len < static_cast<size_t>(cfg_.hash.minMatch))
@@ -26,25 +29,31 @@ MatchPipeline::bestMatch(std::span<const uint8_t> in, size_t pos,
         ? pos - static_cast<size_t>(cfg_.windowBytes) + 1 : 0;
     const uint8_t *cur = in.data() + pos;
 
-    int best_len = 0;
-    int best_dist = 0;
-    for (uint32_t cand : table_.lookup(table_.hashAt(cur))) {
+    // Candidates come most recent first and only a strictly longer
+    // match replaces the best, so the most recent wins a tie. A
+    // candidate that cannot beat best_len (best_len is already max_len,
+    // or the candidate differs at best_len) is counted but not extended.
+    size_t best_len = 0;
+    size_t best_cand = 0;
+    for (uint32_t cand : table_.lookup(set)) {
         ++tried;
         if (cand >= pos || cand < limit)
             continue;    // stale entry outside the window
         const uint8_t *ref = in.data() + cand;
-        size_t len = 0;
-        while (len < max_len && ref[len] == cur[len])
-            ++len;
-        if (nx::checked_cast<int>(len) > best_len) {
-            best_len = nx::checked_cast<int>(len);
-            best_dist = nx::checked_cast<int>(pos - cand);
+        if (best_len == max_len || ref[best_len] != cur[best_len])
+            continue;
+        size_t len = util::matchLength(ref, cur, max_len);
+        if (len > best_len) {
+            best_len = len;
+            best_cand = cand;
         }
     }
-    if (best_len < cfg_.hash.minMatch)
+    if (best_len < static_cast<size_t>(cfg_.hash.minMatch))
         return 0;
-    out_dist = best_dist;
-    return best_len;
+    NXSIM_ENSURE(best_len <= static_cast<size_t>(kMaxMatch),
+                 "match longer than DEFLATE allows");
+    out_dist = nx::checked_cast<int>(pos - best_cand);
+    return nx::checked_cast<int>(best_len);
 }
 
 MatchResult
@@ -90,7 +99,7 @@ MatchPipeline::run(std::span<const uint8_t> input)
 
         int dist = 0;
         int len = can_hash
-            ? bestMatch(input, pos, res.candidatesTried, dist) : 0;
+            ? bestMatch(input, pos, set, res.candidatesTried, dist) : 0;
 
         if (len > 0) {
             res.tokens.push_back(Token::match(len, dist));

@@ -68,8 +68,8 @@ class MatchPipeline
     const util::StatSet &stats() const { return stats_; }
 
   private:
-    /** Longest valid match at @p pos among table candidates. */
-    int bestMatch(std::span<const uint8_t> in, size_t pos,
+    /** Longest valid match at @p pos among the candidates in @p set. */
+    int bestMatch(std::span<const uint8_t> in, size_t pos, uint32_t set,
                   uint64_t &tried, int &out_dist) const;
 
     NxConfig cfg_;

@@ -9,6 +9,7 @@ void
 BitWriter::writeByte(uint8_t b)
 {
     NXSIM_EXPECT(aligned(), "requires byte alignment");
+    flushBytes();
     bytes_.push_back(b);
 }
 
@@ -16,6 +17,7 @@ void
 BitWriter::writeBytes(std::span<const uint8_t> data)
 {
     NXSIM_EXPECT(aligned(), "requires byte alignment");
+    flushBytes();
     bytes_.insert(bytes_.end(), data.begin(), data.end());
 }
 
@@ -23,6 +25,7 @@ void
 BitWriter::writeU16le(uint16_t v)
 {
     NXSIM_EXPECT(aligned(), "requires byte alignment");
+    flushBytes();
     bytes_.push_back(static_cast<uint8_t>(v & 0xff));
     bytes_.push_back(static_cast<uint8_t>(v >> 8));
 }
@@ -31,6 +34,7 @@ void
 BitWriter::writeU32le(uint32_t v)
 {
     NXSIM_EXPECT(aligned(), "requires byte alignment");
+    flushBytes();
     for (int i = 0; i < 4; ++i)
         bytes_.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
 }

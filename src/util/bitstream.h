@@ -25,6 +25,11 @@ namespace util {
  *
  * All write methods take the value in "natural" (LSB-first) order; Huffman
  * codes must be pre-reversed by the encoder (see reverseBits()).
+ *
+ * Bits collect in a 64-bit accumulator that is flushed 32 bits at a
+ * time, so up to 31 bits (three whole bytes plus a partial one) may
+ * sit in it between calls. Every method that exposes or appends bytes
+ * flushes the whole bytes first.
  */
 // nxstate: protocol(BitWriter: {writeBits|alignToByte|writeByte|writeBytes|writeU16le|writeU32le|drain}* -> take)
 class BitWriter
@@ -38,10 +43,15 @@ class BitWriter
     {
         bitBuf_ |= static_cast<uint64_t>(value & mask(nbits)) << bitCount_;
         bitCount_ += nbits;
-        while (bitCount_ >= 8) {
-            bytes_.push_back(static_cast<uint8_t>(bitBuf_ & 0xff));
-            bitBuf_ >>= 8;
-            bitCount_ -= 8;
+        if (bitCount_ >= 32) {
+            const uint8_t word[4] = {
+                static_cast<uint8_t>(bitBuf_),
+                static_cast<uint8_t>(bitBuf_ >> 8),
+                static_cast<uint8_t>(bitBuf_ >> 16),
+                static_cast<uint8_t>(bitBuf_ >> 24)};
+            bytes_.insert(bytes_.end(), word, word + 4);
+            bitBuf_ >>= 32;
+            bitCount_ -= 32;
         }
     }
 
@@ -49,11 +59,8 @@ class BitWriter
     void
     alignToByte()
     {
-        if (bitCount_ > 0) {
-            bytes_.push_back(static_cast<uint8_t>(bitBuf_ & 0xff));
-            bitBuf_ = 0;
-            bitCount_ = 0;
-        }
+        bitCount_ = (bitCount_ + 7) & ~7u;
+        flushBytes();
     }
 
     /** Append a whole byte; requires byte alignment. */
@@ -72,7 +79,7 @@ class BitWriter
     uint64_t bitsWritten() const { return bytes_.size() * 8 + bitCount_; }
 
     /** True when the cursor sits on a byte boundary. */
-    bool aligned() const { return bitCount_ == 0; }
+    bool aligned() const { return bitCount_ % 8 == 0; }
 
     /** Finish the stream (zero-pad) and move the bytes out. */
     std::vector<uint8_t> take();
@@ -85,17 +92,23 @@ class BitWriter
     std::vector<uint8_t>
     drain()
     {
+        flushBytes();
         return std::exchange(bytes_, {});
     }
-
-    /** Access bytes flushed so far without finishing the stream. */
-    const std::vector<uint8_t> &bytes() const { return bytes_; }
 
   private:
     static uint32_t
     mask(unsigned nbits)
     {
         return nbits >= 32 ? 0xffffffffu : ((1u << nbits) - 1u);
+    }
+
+    /** Move the whole bytes out of the accumulator. */
+    void
+    flushBytes()
+    {
+        for (; bitCount_ >= 8; bitCount_ -= 8, bitBuf_ >>= 8)
+            bytes_.push_back(static_cast<uint8_t>(bitBuf_));
     }
 
     std::vector<uint8_t> bytes_;

@@ -8,29 +8,58 @@ namespace {
 
 constexpr uint32_t kPoly = 0xedb88320u;
 
-constexpr std::array<uint32_t, 256>
-makeTable()
+/**
+ * Slice-by-8 tables: kTables[0] is the classic byte table, and
+ * kTables[k][b] is the CRC of byte b followed by k zero bytes, so
+ * eight table lookups fold eight input bytes at once.
+ */
+constexpr std::array<std::array<uint32_t, 256>, 8>
+makeTables()
 {
-    std::array<uint32_t, 256> t{};
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? (kPoly ^ (c >> 1)) : (c >> 1);
-        t[i] = c;
+        t[0][i] = c;
     }
+    for (size_t k = 1; k < 8; ++k)
+        for (size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
     return t;
 }
 
-constexpr auto kTable = makeTable();
+constexpr auto kTables = makeTables();
+
+/** Little-endian 32-bit load, independent of host byte order. */
+inline uint32_t
+load32le(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+        (static_cast<uint32_t>(p[1]) << 8) |
+        (static_cast<uint32_t>(p[2]) << 16) |
+        (static_cast<uint32_t>(p[3]) << 24);
+}
 
 } // namespace
 
 void
 Crc32::update(std::span<const uint8_t> data)
 {
+    const auto &t = kTables;
     uint32_t c = state_;
-    for (uint8_t b : data)
-        c = kTable[(c ^ b) & 0xff] ^ (c >> 8);
+    const uint8_t *p = data.data();
+    size_t n = data.size();
+    for (; n >= 8; p += 8, n -= 8) {
+        uint32_t lo = load32le(p) ^ c;
+        uint32_t hi = load32le(p + 4);
+        c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+            t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+            t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
     state_ = c;
 }
 

@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for LSB-first bit packing, byte alignment, peek/consume and
- * overrun semantics of util::BitWriter / util::BitReader.
+ * overrun semantics of util::BitWriter / util::BitReader, plus a
+ * differential test of the word-flushing BitWriter against a
+ * bit-at-a-time reference writer defined here.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/bitstream.h"
+#include "util/prng.h"
 
 using util::BitReader;
 using util::BitWriter;
@@ -59,6 +64,162 @@ TEST(BitWriter, BitsWrittenTracksUnflushed)
     EXPECT_EQ(bw.bitsWritten(), 3u);
     bw.writeBits(0xff, 8);
     EXPECT_EQ(bw.bitsWritten(), 11u);
+}
+
+namespace {
+
+/** Reference writer: one vector entry per pending bit, stream order. */
+class RefBitWriter
+{
+  public:
+    void
+    writeBits(uint32_t value, unsigned nbits)
+    {
+        for (unsigned i = 0; i < nbits; ++i)
+            bits_.push_back((value >> i) & 1);
+    }
+
+    void
+    alignToByte()
+    {
+        while (bits_.size() % 8 != 0)
+            bits_.push_back(0);
+    }
+
+    void
+    writeBytes(std::span<const uint8_t> data)
+    {
+        for (uint8_t b : data)
+            writeBits(b, 8);
+    }
+
+    uint64_t bitsWritten() const { return bits_.size(); }
+    bool aligned() const { return bits_.size() % 8 == 0; }
+
+    /** The whole bytes, removed; a partial byte stays. */
+    std::vector<uint8_t>
+    drain()
+    {
+        std::vector<uint8_t> out;
+        size_t whole = bits_.size() / 8;
+        for (size_t i = 0; i < whole; ++i) {
+            uint8_t b = 0;
+            for (size_t k = 0; k < 8; ++k)
+                b = static_cast<uint8_t>(b | (bits_[8 * i + k] << k));
+            out.push_back(b);
+        }
+        bits_.erase(bits_.begin(),
+                    bits_.begin() + static_cast<long>(8 * whole));
+        return out;
+    }
+
+  private:
+    std::vector<uint8_t> bits_;
+};
+
+} // namespace
+
+TEST(BitWriter, RandomCallSequencesMatchBitwiseReference)
+{
+    util::Xoshiro256 rng(0xb175);
+    for (int trial = 0; trial < 300; ++trial) {
+        BitWriter bw;
+        RefBitWriter ref;
+        std::vector<uint8_t> got;
+        std::vector<uint8_t> want;
+        auto padIfUnaligned = [&] {
+            if (!ref.aligned()) {
+                bw.alignToByte();
+                ref.alignToByte();
+            }
+        };
+        for (int op = 0; op < 200; ++op) {
+            switch (rng.below(8)) {
+              case 0:
+                bw.alignToByte();
+                ref.alignToByte();
+                break;
+              case 1: {
+                // Byte writers need alignment. Pad only when it is
+                // missing, so whole bytes may still sit in the
+                // accumulator when they run.
+                padIfUnaligned();
+                std::vector<uint8_t> data(rng.below(12));
+                for (auto &b : data)
+                    b = static_cast<uint8_t>(rng.next());
+                bw.writeBytes(data);
+                ref.writeBytes(data);
+                break;
+              }
+              case 2: {
+                padIfUnaligned();
+                auto v = static_cast<uint16_t>(rng.next());
+                bw.writeU16le(v);
+                ref.writeBits(v, 16);
+                break;
+              }
+              case 3: {
+                padIfUnaligned();
+                auto v = static_cast<uint32_t>(rng.next());
+                bw.writeU32le(v);
+                ref.writeBits(v, 32);
+                break;
+              }
+              case 4: {
+                padIfUnaligned();
+                auto v = static_cast<uint8_t>(rng.next());
+                bw.writeByte(v);
+                ref.writeBits(v, 8);
+                break;
+              }
+              case 5: {
+                auto a = bw.drain();
+                auto b = ref.drain();
+                ASSERT_EQ(a, b) << "trial " << trial << " op " << op;
+                got.insert(got.end(), a.begin(), a.end());
+                want.insert(want.end(), b.begin(), b.end());
+                break;
+              }
+              default: {
+                // Garbage above nbits must be ignored.
+                auto nbits = static_cast<unsigned>(rng.below(33));
+                auto v = static_cast<uint32_t>(rng.next());
+                bw.writeBits(v, nbits);
+                ref.writeBits(v, nbits);
+                break;
+              }
+            }
+            ASSERT_EQ(bw.bitsWritten(), ref.bitsWritten())
+                << "trial " << trial << " op " << op;
+            ASSERT_EQ(bw.aligned(), ref.aligned())
+                << "trial " << trial << " op " << op;
+        }
+        auto tail = bw.take();
+        ref.alignToByte();
+        auto refTail = ref.drain();
+        got.insert(got.end(), tail.begin(), tail.end());
+        want.insert(want.end(), refTail.begin(), refTail.end());
+        ASSERT_EQ(got, want) << "trial " << trial;
+    }
+}
+
+TEST(BitWriter, DrainKeepsPartialByteAndContinuity)
+{
+    // 3 + 30 bits: four whole bytes and one pending bit straddle the
+    // 32-bit flush; drain must hand out all four and keep the bit.
+    BitWriter bw;
+    bw.writeBits(0b101, 3);
+    bw.writeBits(0x3fffffff, 30);
+    auto first = bw.drain();
+    ASSERT_EQ(first.size(), 4u);
+    EXPECT_EQ(bw.bitsWritten(), 1u);
+    EXPECT_FALSE(bw.aligned());
+    bw.writeBits(0, 7);
+    EXPECT_TRUE(bw.aligned());
+    auto rest = bw.take();
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(first[0], 0xfd);
+    EXPECT_EQ(rest[0], 0x01);
 }
 
 TEST(BitReader, ReadsBackWhatWriterWrote)

@@ -1,16 +1,22 @@
 /**
  * @file
  * CRC-32 and Adler-32 against published test vectors, plus incremental
- * update equivalence.
+ * update equivalence. The slice-by-8 CRC is also checked against a
+ * bit-at-a-time reference defined here: every short length at every
+ * alignment, a large random buffer, random incremental splits and
+ * crc32Combine.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "util/adler32.h"
 #include "util/crc32.h"
+#include "util/prng.h"
 
 namespace {
 
@@ -18,6 +24,29 @@ std::vector<uint8_t>
 bytesOf(const std::string &s)
 {
     return {s.begin(), s.end()};
+}
+
+/** CRC-32 straight from the definition: one bit per step. */
+uint32_t
+refCrc32(std::span<const uint8_t> data)
+{
+    uint32_t c = 0xffffffffu;
+    for (uint8_t b : data) {
+        c ^= b;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return ~c;
+}
+
+std::vector<uint8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    util::Xoshiro256 rng(seed);
+    std::vector<uint8_t> v(n);
+    for (auto &b : v)
+        b = static_cast<uint8_t>(rng.next());
+    return v;
 }
 
 } // namespace
@@ -55,6 +84,59 @@ TEST(Crc32, ResetRestores)
     c.reset();
     c.update(bytesOf("123456789"));
     EXPECT_EQ(c.value(), 0xcbf43926u);
+}
+
+TEST(Crc32, EveryShortLengthAndOffsetMatchesBitwiseReference)
+{
+    // Lengths 0-72 cover the byte tail alone, one to nine 8-byte
+    // steps, and every tail length; offsets 0-7 every alignment.
+    auto buf = randomBytes(80, 1);
+    for (size_t off = 0; off < 8; ++off) {
+        for (size_t len = 0; len <= 72; ++len) {
+            std::span<const uint8_t> part(buf.data() + off, len);
+            EXPECT_EQ(util::crc32(part), refCrc32(part))
+                << "off " << off << " len " << len;
+        }
+    }
+}
+
+TEST(Crc32, OneMebibyteRandomMatchesBitwiseReference)
+{
+    auto data = randomBytes(1 << 20, 2);
+    EXPECT_EQ(util::crc32(data), refCrc32(data));
+}
+
+TEST(Crc32, IncrementalAtRandomSplitsMatchesReference)
+{
+    auto data = randomBytes(100003, 3);
+    uint32_t want = refCrc32(data);
+    util::Xoshiro256 rng(4);
+    for (int trial = 0; trial < 50; ++trial) {
+        util::Crc32 c;
+        size_t off = 0;
+        while (off < data.size()) {
+            size_t n = std::min<size_t>(data.size() - off,
+                                        rng.below(trial < 25 ? 20 : 5000));
+            c.update(std::span<const uint8_t>(data).subspan(off, n));
+            off += n;
+        }
+        EXPECT_EQ(c.value(), want) << "trial " << trial;
+    }
+}
+
+TEST(Crc32Combine, RandomSplitsMatchBitwiseReference)
+{
+    auto data = randomBytes(70001, 5);
+    util::Xoshiro256 rng(6);
+    for (int trial = 0; trial < 20; ++trial) {
+        size_t cut = rng.below(data.size() + 1);
+        std::span<const uint8_t> all(data);
+        auto a = all.subspan(0, cut);
+        auto b = all.subspan(cut);
+        EXPECT_EQ(util::crc32Combine(refCrc32(a), refCrc32(b), b.size()),
+                  refCrc32(all))
+            << "cut " << cut;
+    }
 }
 
 TEST(Adler32, EmptyIsOne)

@@ -9,6 +9,8 @@
 #include "core/device.h"
 #include "core/nxzip.h"
 #include "core/topology.h"
+#include "util/adler32.h"
+#include "util/crc32.h"
 #include "workloads/corpus.h"
 
 using core::Mode;
@@ -117,6 +119,33 @@ TEST(SoftwareCodec, BadStreamReported)
     std::vector<uint8_t> garbage(100, 0x3c);
     auto d = sw.decompress(garbage, nx::Framing::Gzip);
     EXPECT_FALSE(d.ok());
+}
+
+TEST(SoftwareCodec, ChecksumMatchesEngineOnEveryFraming)
+{
+    // Both backends report the container's checksum in the CSB:
+    // CRC-32 for raw and gzip, Adler-32 for zlib, on compress and on
+    // decompress, whichever backend produced the stream.
+    NxDevice dev(nx::NxConfig::power9());
+    SoftwareCodec sw(6);
+    auto input = workloads::makeLog(50000, 77);
+    for (nx::Framing f : {nx::Framing::Raw, nx::Framing::Gzip,
+                          nx::Framing::Zlib}) {
+        uint32_t want = f == nx::Framing::Zlib ? util::adler32(input)
+                                               : util::crc32(input);
+        auto hw = dev.compress(input, f, Mode::DhtSampled);
+        auto soft = sw.compress(input, f);
+        ASSERT_TRUE(hw.ok() && soft.ok());
+        EXPECT_EQ(hw.csb.checksum, want);
+        EXPECT_EQ(soft.csb.checksum, want);
+        for (const auto *stream : {&hw.data, &soft.data}) {
+            auto hd = dev.decompress(*stream, f);
+            auto sd = sw.decompress(*stream, f);
+            ASSERT_TRUE(hd.ok() && sd.ok());
+            EXPECT_EQ(hd.csb.checksum, want);
+            EXPECT_EQ(sd.csb.checksum, want);
+        }
+    }
 }
 
 TEST(Nxzip, ContextRoundTrip)

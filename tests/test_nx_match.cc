@@ -3,14 +3,21 @@
  * Accelerator match-stage tests: banked hash table semantics, the
  * match pipeline's functional correctness (token streams reproduce the
  * input) and its timing behaviour (streaming floor, stalls, the
- * compressible-runs-faster effect).
+ * compressible-runs-faster effect). The word-compare match length and
+ * the in-place hash-set walk are checked against scalar references
+ * defined here: a byte loop, and a whole match pipe kept with deques
+ * and byte compares.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "deflate/lz77.h"
 #include "nx/hash_table.h"
 #include "nx/match_pipeline.h"
+#include "util/match_length.h"
+#include "util/prng.h"
 #include "workloads/corpus.h"
 
 using nx::BankedHashTable;
@@ -226,4 +233,212 @@ TEST_F(MatchPipelineTest, StatsAccumulateAcrossRuns)
     (void)pipe.run(input);
     EXPECT_EQ(pipe.stats().get("runs"), 2u);
     EXPECT_GT(pipe.stats().get("cycles"), after1);
+}
+
+namespace {
+
+size_t
+refMatchLength(const uint8_t *a, const uint8_t *b, size_t max_len)
+{
+    size_t len = 0;
+    while (len < max_len && a[len] == b[len])
+        ++len;
+    return len;
+}
+
+/** The match pipe, one byte compare and one deque per set at a time. */
+nx::MatchResult
+refRun(const NxConfig &cfg, std::span<const uint8_t> in)
+{
+    nx::MatchResult res;
+    BankedHashTable hasher(cfg.hash);    // hashAt()/bankOf() only
+    std::vector<std::deque<uint32_t>> sets(size_t{1} << cfg.hash.indexBits);
+    auto ways = static_cast<size_t>(cfg.hash.ways);
+    auto minMatch = static_cast<size_t>(cfg.hash.minMatch);
+    auto window = static_cast<size_t>(cfg.windowBytes);
+    auto W = static_cast<size_t>(cfg.compressBytesPerCycle);
+    const size_t n = in.size();
+
+    auto insert = [&](size_t p) {
+        if (p + minMatch > n)
+            return;
+        auto &set = sets[hasher.hashAt(in.data() + p)];
+        set.push_front(static_cast<uint32_t>(p));
+        if (set.size() > ways)
+            set.pop_back();
+    };
+
+    std::vector<uint64_t> bankLoad(static_cast<size_t>(cfg.hash.banks), 0);
+    uint64_t rowMax = 0;
+    size_t row = 0;
+    size_t pos = 0;
+    while (pos < n) {
+        if (pos / W != row) {
+            res.bankStallCycles += rowMax > 1 ? rowMax - 1 : 0;
+            std::fill(bankLoad.begin(), bankLoad.end(), 0);
+            rowMax = 0;
+            row = pos / W;
+        }
+        size_t best = 0;
+        size_t bestDist = 0;
+        if (pos + minMatch <= n) {
+            uint32_t set = hasher.hashAt(in.data() + pos);
+            ++res.lookups;
+            rowMax = std::max(rowMax,
+                              ++bankLoad[static_cast<size_t>(
+                                  hasher.bankOf(set))]);
+            size_t maxLen = std::min<size_t>(258, n - pos);
+            for (uint32_t cand : sets[set]) {
+                ++res.candidatesTried;
+                if (cand >= pos || pos - cand >= window)
+                    continue;
+                size_t len = refMatchLength(in.data() + cand,
+                                            in.data() + pos, maxLen);
+                if (len > best) {    // strictly longer: newest wins ties
+                    best = len;
+                    bestDist = pos - cand;
+                }
+            }
+        }
+        if (best >= minMatch) {
+            res.tokens.push_back(deflate::Token::match(
+                static_cast<int>(best), static_cast<int>(bestDist)));
+            ++res.matches;
+            res.matchedBytes += best;
+            size_t end = pos + best;
+            for (size_t p = pos; p < end; ++p)
+                if (best <= 8 || p < pos + 4 || p >= end - 4)
+                    insert(p);
+            pos = end;
+        } else {
+            res.tokens.push_back(deflate::Token::lit(in[pos]));
+            insert(pos);
+            ++pos;
+        }
+    }
+    res.bankStallCycles += rowMax > 1 ? rowMax - 1 : 0;
+    res.rows = (n + W - 1) / W;
+    res.cycles = res.rows + res.bankStallCycles;
+    return res;
+}
+
+void
+expectSameAsReference(const NxConfig &cfg, std::span<const uint8_t> in,
+                      const std::string &what)
+{
+    MatchPipeline pipe(cfg);
+    auto got = pipe.run(in);
+    auto want = refRun(cfg, in);
+    ASSERT_EQ(got.tokens.size(), want.tokens.size()) << what;
+    for (size_t i = 0; i < got.tokens.size(); ++i) {
+        const auto &a = got.tokens[i];
+        const auto &b = want.tokens[i];
+        ASSERT_TRUE(a.length == b.length && a.dist == b.dist &&
+                    a.literal == b.literal)
+            << what << ": token " << i << " is (" << a.length << ", "
+            << a.dist << ", " << int{a.literal} << "), reference ("
+            << b.length << ", " << b.dist << ", " << int{b.literal} << ")";
+    }
+    EXPECT_EQ(got.cycles, want.cycles) << what;
+    EXPECT_EQ(got.rows, want.rows) << what;
+    EXPECT_EQ(got.bankStallCycles, want.bankStallCycles) << what;
+    EXPECT_EQ(got.lookups, want.lookups) << what;
+    EXPECT_EQ(got.candidatesTried, want.candidatesTried) << what;
+    EXPECT_EQ(got.matches, want.matches) << what;
+    EXPECT_EQ(got.matchedBytes, want.matchedBytes) << what;
+}
+
+} // namespace
+
+TEST(MatchLength, MatchesByteLoopAtEveryLengthAndAlignment)
+{
+    // Two equal 300-byte strings; one differing byte placed at every
+    // index, every cap up to past DEFLATE's 258, every alignment.
+    auto base = workloads::makeRandom(320, 40);
+    for (size_t off = 0; off < 8; ++off) {
+        for (size_t diff = 0; diff <= 270; ++diff) {
+            std::vector<uint8_t> b(base);
+            b[diff + off] ^= 0x5a;
+            const uint8_t *pa = base.data() + off;
+            const uint8_t *pb = b.data() + off;
+            for (size_t cap : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                               size_t{9}, diff, diff + 1, size_t{257},
+                               size_t{258}, size_t{300}}) {
+                ASSERT_EQ(util::matchLength(pa, pb, cap),
+                          refMatchLength(pa, pb, cap))
+                    << "off " << off << " diff " << diff << " cap " << cap;
+            }
+        }
+    }
+}
+
+TEST(MatchLength, OverlappingRunStopsAtCapAndEndOfInput)
+{
+    // A run compared against itself one byte later (distance 1): the
+    // match always runs to the cap, which is either 258 or the bytes
+    // left before the end of the input.
+    std::vector<uint8_t> run(1000, 0x61);
+    for (size_t left : {size_t{3}, size_t{8}, size_t{13}, size_t{258},
+                        size_t{259}, size_t{998}}) {
+        size_t pos = run.size() - left;
+        size_t cap = std::min<size_t>(258, left);
+        EXPECT_EQ(util::matchLength(run.data() + pos - 1,
+                                    run.data() + pos, cap),
+                  cap)
+            << "left " << left;
+    }
+}
+
+TEST(MatchPipelineReference, CorpusAndEdgeInputsMatchScalarPipe)
+{
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> inputs = {
+        {"text", workloads::makeText(96 * 1024, 41)},
+        {"log", workloads::makeLog(64 * 1024, 42)},
+        {"json", workloads::makeJson(64 * 1024, 43)},
+        {"random", workloads::makeRandom(16 * 1024, 44)},
+        {"zeros", workloads::makeZeros(5 * 258 + 5)},
+    };
+    // Input ending mid-run, and a repeated chunk whose first copy has
+    // left the 32 KiB window (its table entries are stale).
+    std::vector<uint8_t> straddle = workloads::makeText(2000, 45);
+    auto filler = workloads::makeRandom(33000, 46);
+    auto copy = straddle;
+    straddle.insert(straddle.end(), filler.begin(), filler.end());
+    straddle.insert(straddle.end(), copy.begin(), copy.end());
+    inputs.push_back({"stale-window", straddle});
+    for (size_t n = 0; n < 24; ++n)
+        inputs.push_back({"zeros-" + std::to_string(n),
+                          workloads::makeZeros(n)});
+    // Short period: many equal-length candidates in the same set.
+    std::vector<uint8_t> periodic;
+    for (int i = 0; i < 4000; ++i)
+        periodic.push_back(static_cast<uint8_t>("abcdXabcdYabcdZ"[i % 15]));
+    inputs.push_back({"periodic", periodic});
+
+    NxConfig tiny = NxConfig::power9();
+    tiny.hash.indexBits = 4;    // heavy collisions and evictions
+    tiny.hash.ways = 2;
+    tiny.hash.banks = 4;
+    for (const auto &cfg : {NxConfig::power9(), NxConfig::z15(), tiny})
+        for (const auto &[name, data] : inputs)
+            expectSameAsReference(cfg, data, cfg.name + "/" + name);
+}
+
+TEST(MatchPipelineReference, EqualLengthTieGoesToNewestCandidate)
+{
+    // "abcd" recurs at 0 and 10 with different successors; at 20 both
+    // give a 4-byte match, and the newer one (distance 10) must win.
+    std::string s = "abcdPQRSTUabcdVWXYZ!abcd#";
+    std::vector<uint8_t> in(s.begin(), s.end());
+    MatchPipeline pipe(NxConfig::power9());
+    auto res = pipe.run(in);
+    bool found = false;
+    for (const auto &t : res.tokens) {
+        if (!t.isLiteral()) {
+            EXPECT_EQ(t.length, 4);
+            EXPECT_EQ(t.dist, 10);
+            found = true;
+        }
+    }
+    EXPECT_TRUE(found);
 }
